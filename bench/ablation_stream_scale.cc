@@ -1,19 +1,20 @@
 /**
  * @file
- * Admission-scaling ablation for the lock-free streaming intake: the
- * same total fork count pushed through a streaming session by 1, 2, 4,
- * ... concurrent producers, with deliberately tiny thread bodies so
- * wall time is dominated by the admission path itself (bin lookup /
- * CAS insert, group claim, ticket gate) rather than by user work.
+ * Admission-scaling ablation for the streaming intake: the same total
+ * fork count pushed through a streaming session by 1, 2, 4, ...
+ * concurrent producers, with deliberately tiny thread bodies so wall
+ * time is dominated by the admission path itself (ticket gate, the
+ * producer's private bin lookup and group append, seals, drain
+ * hand-off) rather than by user work.
  *
- * Under the old lock-striped intake every producer serialized on its
- * shard mutex, so producer scaling flattened immediately; the
- * lock-free path's exit proof is the producer sweep staying near
- * linear (efficiency >= 0.7x at 4 producers) — on hosts with enough
- * cores to run the producers concurrently at all. On fewer cores the
- * sweep documents the host ceiling instead: producers time-slice one
- * another and efficiency degrades as 1/p by construction, which the
- * report calls out rather than hiding.
+ * Each producer forks into its own private bin table and group pool,
+ * so producers share only the ticket gate counters and the
+ * sealed-chain ring; the sweep shows how close admission comes to
+ * linear scaling (efficiency >= 0.7x at 4 producers is the target) on
+ * hosts with enough cores to run the producers concurrently at all.
+ * On fewer cores the sweep documents the host ceiling instead:
+ * producers time-slice one another and efficiency degrades as 1/p by
+ * construction, which the report calls out rather than hiding.
  *
  * The recorded single-producer baseline from the lock-striped
  * implementation (BENCH_streaming.json / EXPERIMENTS.md: streaming
@@ -57,7 +58,7 @@ main(int argc, char **argv)
 
     Cli cli("ablation_stream_scale",
             "streaming admission throughput vs concurrent producer "
-            "count (lock-free intake scaling)");
+            "count (per-producer intake scaling)");
     cli.addInt("threads", 1 << 16, "total threads per sweep point");
     cli.addInt("bins", 512, "distinct bins the hints spread over");
     cli.addInt("max-producers", 4,

@@ -6,8 +6,8 @@
 #                 once with LSCHED_TOPOLOGY=flat forcing legacy flat
 #                 placement)
 #   tsan          fault + obs + pool suites under ThreadSanitizer
-#   asan          stream + chaos suites under ASan/UBSan (the
-#                 lock-free admission path's reclamation story)
+#   asan          stream + chaos suites under ASan/UBSan (producer,
+#                 group and sealed-chain lifetimes)
 #   notrace       full suite with tracing compiled out
 #   nofailpoints  full suite with fail points compiled out
 #
@@ -70,10 +70,9 @@ run env LSCHED_TOPOLOGY=flat ctest --preset default
 
 check tsan tsan-fault
 
-# The streaming suites again under ASan/UBSan: TSan proves the
-# admission path race-free, this leg proves the epoch reclamation
-# (retired tables, recycled groups, spare bins) never frees early
-# and the lock-free pointer arithmetic stays defined.
+# The streaming suites again under ASan/UBSan: TSan checks the
+# admission path for races, this leg checks that producers, recycled
+# groups and sealed chains are never used after they are freed.
 check asan asan-stream
 
 check notrace notrace

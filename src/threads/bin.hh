@@ -53,12 +53,34 @@ struct Bin
      * Streaming intake: how many times this bin has been sealed this
      * stream (each seal detaches the group chain and re-opens the
      * bin for new forks), and total threads admitted across epochs.
+     * threadCount is then the current epoch's count.
      */
     std::uint32_t streamEpoch = 0;
     std::uint64_t streamTotalThreads = 0;
 
     /** True while the bin is linked on the ready list. */
     bool onReadyList = false;
+
+    /**
+     * Append a thread spec, chaining a fresh group from @p pool when
+     * the tail group is full (the paper's th_fork). A failed group
+     * allocation leaves the bin unchanged.
+     */
+    void
+    push(GroupPool &pool, ThreadFn fn, void *arg1, void *arg2)
+    {
+        ThreadGroup *group = groupsTail;
+        if (!group || group->full()) {
+            group = pool.allocate();
+            if (groupsTail)
+                groupsTail->next = group;
+            else
+                groupsHead = group;
+            groupsTail = group;
+        }
+        group->push(fn, arg1, arg2);
+        ++threadCount;
+    }
 
     /** Detach all thread groups (they go back to the pool). */
     void

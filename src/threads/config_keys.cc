@@ -364,11 +364,6 @@ applyConfigKey(SchedulerConfig &config, const std::string &rawKey,
         if (!parseBool(value, &b))
             return badValue(error, key, value, "a boolean");
         config.pinWorkers = b;
-    } else if (key == "stream_shards") {
-        if (!parseU64(value, &u) || u > 0xffffffffull)
-            return badValue(error, key, value,
-                            "a shard count (0 = default)");
-        config.streamShards = static_cast<unsigned>(u);
     } else if (key == "stream_max_pending") {
         if (!parseU64(value, &u))
             return badValue(error, key, value,
@@ -492,8 +487,6 @@ configKeyValue(const SchedulerConfig &config,
         *out = config.persistentPool ? "1" : "0";
     else if (key == "pin_workers")
         *out = config.pinWorkers ? "1" : "0";
-    else if (key == "stream_shards")
-        *out = std::to_string(config.streamShards);
     else if (key == "stream_max_pending")
         *out = std::to_string(config.streamMaxPending);
     else if (key == "stream_seal_threshold")
@@ -548,7 +541,6 @@ configKeys()
         "recover_epochs",
         "persistent_pool",
         "pin_workers",
-        "stream_shards",
         "stream_max_pending",
         "stream_seal_threshold",
         "adapt.base",

@@ -27,25 +27,6 @@
 namespace lsched::threads
 {
 
-/**
- * Mix @p coords into a 64-bit hash (splitmix64-style per coordinate).
- * Exposed as a free function so the streaming intake can shard a fork
- * by coordinate hash *before* picking which shard's BinTable to lock.
- */
-inline std::uint64_t
-hashCoords(const BlockCoords &coords, unsigned dims)
-{
-    std::uint64_t h = 0x9e3779b97f4a7c15ull;
-    for (unsigned d = 0; d < dims; ++d) {
-        std::uint64_t z = coords[d] + 0x9e3779b97f4a7c15ull * (d + 1);
-        z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-        z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-        h ^= z ^ (z >> 31);
-        h *= 0xff51afd7ed558ccdull;
-    }
-    return h ^ (h >> 33);
-}
-
 /** Owns all bins and finds them by block coordinates. */
 class BinTable
 {
@@ -58,8 +39,8 @@ class BinTable
      * @param buckets initial slot count (rounded up to a power of
      *        two, minimum kMinSlots).
      * @param idBase offset added to every bin id, so bins from several
-     *        tables (the streaming intake shards) stay distinguishable
-     *        in traces and fault reports.
+     *        tables (the streaming producers' private tables) stay
+     *        distinguishable in traces and fault reports.
      */
     BinTable(unsigned dims, std::size_t buckets,
              std::uint32_t idBase = 0)
@@ -85,18 +66,7 @@ class BinTable
     findOrCreate(const BlockCoords &coords,
                  std::uint32_t *probes = nullptr)
     {
-        return findOrCreateHashed(coords, hash(coords), probes);
-    }
-
-    /**
-     * findOrCreate() with the hash precomputed by the caller (via
-     * hashCoords()) — the streaming intake hashes once to pick a
-     * shard, then reuses the value here instead of re-mixing.
-     */
-    std::pair<Bin *, bool>
-    findOrCreateHashed(const BlockCoords &coords, std::uint64_t h,
-                       std::uint32_t *probes = nullptr)
-    {
+        const std::uint64_t h = hash(coords);
         std::size_t i = h & mask_;
         std::uint32_t walked = 1;
         for (; slots_[i]; i = (i + 1) & mask_, ++walked) {
@@ -111,6 +81,15 @@ class BinTable
         // growth below.
         if (LSCHED_FAILPOINT_HIT("bintable.grow"))
             throw std::bad_alloc();
+        // Keep load under 3/4 after this insert, so probe sequences
+        // stay short and an empty slot always terminates the loop
+        // above. Growing *before* linking the bin means a failed
+        // growth leaves the table exactly as it was.
+        if ((bins_.size() + 2) * 4 > (mask_ + 1) * 3) {
+            grow();
+            for (i = h & mask_; slots_[i]; i = (i + 1) & mask_)
+                ;
+        }
         bins_.emplace_back();
         Bin *b = &bins_.back();
         b->coords = coords;
@@ -119,10 +98,6 @@ class BinTable
         slots_[i] = b;
         if (probes)
             *probes = walked;
-        // Keep load under 3/4 so probe sequences stay short and an
-        // empty slot always terminates the loop above.
-        if ((bins_.size() + 1) * 4 > (mask_ + 1) * 3)
-            grow();
         return {b, true};
     }
 
@@ -142,6 +117,9 @@ class BinTable
 
     /** Number of bins ever allocated. */
     std::size_t binCount() const { return bins_.size(); }
+
+    /** Every bin, in creation order (addresses are stable). */
+    std::deque<Bin> &bins() { return bins_; }
 
     /** Number of slots in the probe table. */
     std::size_t bucketCount() const { return mask_ + 1; }
@@ -184,24 +162,43 @@ class BinTable
         return true;
     }
 
+    /** Mix @p coords into a 64-bit hash (splitmix64 per coordinate). */
     std::uint64_t
     hash(const BlockCoords &coords) const
     {
-        return hashCoords(coords, dims_);
+        std::uint64_t h = 0x9e3779b97f4a7c15ull;
+        for (unsigned d = 0; d < dims_; ++d) {
+            std::uint64_t z =
+                coords[d] + 0x9e3779b97f4a7c15ull * (d + 1);
+            z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+            z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+            h ^= z ^ (z >> 31);
+            h *= 0xff51afd7ed558ccdull;
+        }
+        return h ^ (h >> 33);
     }
 
-    /** Double the slot array and reinsert by cached hash. */
+    /**
+     * Double the slot array and reinsert by cached hash. The new array
+     * is built aside and swapped in, so an allocation failure leaves
+     * the old one (and mask_) untouched.
+     */
     void
     grow()
     {
-        mask_ = (mask_ + 1) * 2 - 1;
-        slots_.assign(mask_ + 1, nullptr);
+        // Fail point standing in for the doubled-array allocation.
+        if (LSCHED_FAILPOINT_HIT("bintable.grow"))
+            throw std::bad_alloc();
+        const std::size_t mask = (mask_ + 1) * 2 - 1;
+        std::vector<Bin *> slots(mask + 1, nullptr);
         for (Bin &b : bins_) {
-            std::size_t i = b.hashVal & mask_;
-            while (slots_[i])
-                i = (i + 1) & mask_;
-            slots_[i] = &b;
+            std::size_t i = b.hashVal & mask;
+            while (slots[i])
+                i = (i + 1) & mask;
+            slots[i] = &b;
         }
+        slots_.swap(slots);
+        mask_ = mask;
     }
 
     unsigned dims_;

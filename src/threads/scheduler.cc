@@ -410,8 +410,8 @@ LocalityScheduler::fork(ThreadFn fn, void *arg1, void *arg2,
             "forking, or fork from producer threads in a stream.");
     }
     if (stream_) {
-        // Streaming mode: admission goes to the sharded intake, which
-        // is safe from any OS thread (and may block at the
+        // Streaming mode: admission goes to this OS thread's private
+        // intake (any OS thread may fork; the call may block at the
         // backpressure bound).
         stream_->fork(fn, arg1, arg2, hints);
         return;
@@ -444,17 +444,7 @@ LocalityScheduler::fork(ThreadFn fn, void *arg1, void *arg2,
                            where.coords[0], where.coords[1]);
     }
 
-    ThreadGroup *group = bin->groupsTail;
-    if (!group || group->full()) {
-        group = pool_.allocate();
-        if (bin->groupsTail)
-            bin->groupsTail->next = group;
-        else
-            bin->groupsHead = group;
-        bin->groupsTail = group;
-    }
-    group->push(fn, arg1, arg2);
-    ++bin->threadCount;
+    bin->push(pool_, fn, arg1, arg2);
     ++pendingThreads_;
 
     if (!bin->onReadyList)

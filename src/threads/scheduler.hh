@@ -175,12 +175,6 @@ struct SchedulerConfig
      */
     bool pinWorkers = false;
     /**
-     * Streaming (streamBegin/runStream) intake shards: independent
-     * lock+BinTable+GroupPool units producers spread over by
-     * coordinate hash. 0 selects StreamSession::kDefaultShards.
-     */
-    unsigned streamShards = 0;
-    /**
      * Streaming backpressure bound: the most admitted-but-unexecuted
      * threads a stream may hold. At the bound a producer drains a
      * sealed bin inline or blocks until the drain catches up; nested

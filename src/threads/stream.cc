@@ -1,20 +1,21 @@
 /**
  * @file
- * StreamSession implementation: lock-free sharded intake, seal/epoch
+ * StreamSession implementation: per-producer intake, seal/epoch
  * hand-off, ticket backpressure, and the drain loops. See stream.hh
  * and DESIGN.md §16 for the design.
  */
 
 #include "threads/stream.hh"
 
+#include <algorithm>
 #include <chrono>
 #include <string>
+#include <tuple>
 
 #include "support/error.hh"
 #include "support/panic.hh"
 #include "support/prng.hh"
 #include "threads/bin_exec.hh"
-#include "threads/hash_table.hh"
 #include "threads/sched_obs.hh"
 #include "threads/scheduler.hh"
 
@@ -47,6 +48,20 @@ struct InlineDrainScope
     ~InlineDrainScope() { t_inInlineDrain = false; }
 };
 
+/** Source of StreamSession serials (0 is never handed out). */
+std::atomic<std::uint64_t> g_nextSerial{1};
+
+/** This OS thread's producer in the session it forked into last. */
+struct ProducerCache
+{
+    std::uint64_t serial = 0;
+    detail::StreamProducer *producer = nullptr;
+};
+
+thread_local ProducerCache t_producer;
+
+using detail::StreamProducer;
+
 } // namespace
 
 StreamSession::StreamSession(const SchedulerConfig &config,
@@ -62,7 +77,9 @@ StreamSession::StreamSession(const SchedulerConfig &config,
       placement_(placement),
       placementStateless_(placement.stateless()),
       placementAdaptive_(placement.kind() == PlacementKind::Adaptive),
-      groupPool_(config.groupCapacity),
+      buckets_(config.hashBuckets),
+      groupCapacity_(config.groupCapacity),
+      serial_(g_nextSerial.fetch_add(1, std::memory_order_relaxed)),
       fault_(config.onError, &faults_),
       pool_(pool),
       recovery_(recovery),
@@ -71,20 +88,6 @@ StreamSession::StreamSession(const SchedulerConfig &config,
     fault_.recovery = recovery_;
     if (deadlineMillis_ > 0)
         fault_.cancel = &cancel_;
-    const unsigned shardCount =
-        config.streamShards ? config.streamShards : kDefaultShards;
-    // Split the configured bucket budget over the shards; each shard
-    // still grows independently past 3/4 load.
-    const std::size_t bucketsPerShard =
-        std::max<std::size_t>(ConcurrentBinTable::kMinSlots,
-                              config.hashBuckets / shardCount);
-    shards_.reserve(shardCount);
-    for (unsigned i = 0; i < shardCount; ++i) {
-        // Disjoint id spaces per shard (and away from the batch
-        // table's 0-based ids) keep trace/fault bin ids unambiguous.
-        shards_.push_back(std::make_unique<Shard>(
-            config.dims, bucketsPerShard, (i + 1u) << 24));
-    }
     if (pool_) {
         job_.body = &StreamSession::drainMain;
         job_.ctx = this;
@@ -105,14 +108,44 @@ StreamSession::~StreamSession()
         // Teardown without a streamEnd(): there is nobody left to
         // rethrow a final inline-drain fault to.
     }
+    StreamProducer *p = producers_.load(std::memory_order_acquire);
+    while (p) {
+        StreamProducer *next = p->next;
+        delete p;
+        p = next;
+    }
 }
 
-unsigned
-StreamSession::shardOf(std::uint64_t hash) const
+StreamProducer &
+StreamSession::producer()
 {
-    // Top bits pick the shard; the table uses the low bits for its
-    // slot, so the two selections stay independent.
-    return static_cast<unsigned>((hash >> 48) % shards_.size());
+    if (t_producer.serial == serial_)
+        return *t_producer.producer;
+    // Slow path, once per OS thread per session (or on every switch
+    // for a thread that alternates between sessions): only this
+    // thread creates a producer owned by it, so the walk cannot race
+    // a duplicate insert.
+    const std::thread::id self = std::this_thread::get_id();
+    StreamProducer *p = producers_.load(std::memory_order_acquire);
+    while (p && p->owner != self)
+        p = p->next;
+    if (!p) {
+        const std::uint32_t index =
+            producerCount_.fetch_add(1, std::memory_order_relaxed);
+        // Disjoint id spaces per producer (and away from the batch
+        // table's 0-based ids) keep trace/fault bin ids unambiguous
+        // for the first 255 producers.
+        const std::uint32_t idBase = (index % 255u + 1u) << 24;
+        p = new StreamProducer(dims_, buckets_, idBase, groupCapacity_,
+                               self);
+        p->next = producers_.load(std::memory_order_relaxed);
+        while (!producers_.compare_exchange_weak(
+            p->next, p, std::memory_order_release,
+            std::memory_order_relaxed))
+            ;
+    }
+    t_producer = {serial_, p};
+    return *p;
 }
 
 void
@@ -128,7 +161,7 @@ StreamSession::notePending()
 }
 
 void
-StreamSession::admitThread()
+StreamSession::admitThread(StreamProducer &self)
 {
     // Every admission takes a ticket, bypass or not: bypassed
     // admissions then count against the gate arithmetic, so gated
@@ -139,6 +172,7 @@ StreamSession::admitThread()
         notePending();
         return;
     }
+    bool held = false;
     unsigned noProgress = 0;
     std::uint64_t waitUs = kBackoffBaseUs;
     Prng jitter(0x5bd1e995u +
@@ -155,14 +189,20 @@ StreamSession::admitThread()
         if (ticket < retiredThreads_.load(std::memory_order_acquire) +
                          maxPending_)
             break;
-        LSCHED_TRACE_EVENT(obs::EventType::Backpressure,
-                           pending_.load(std::memory_order_relaxed),
-                           maxPending_);
-        if (obs::metricsOn())
-            detail::schedInstruments().streamBackpressure->add();
+        if (!held) {
+            // One backpressure event per held admission, in the
+            // session counter and the registry alike.
+            held = true;
+            bpWaits_.fetch_add(1, std::memory_order_relaxed);
+            LSCHED_TRACE_EVENT(obs::EventType::Backpressure,
+                               pending_.load(std::memory_order_relaxed),
+                               maxPending_);
+            if (obs::metricsOn())
+                detail::schedInstruments().streamBackpressure->add();
+        }
         // First choice: help. An inline drain or a force-seal is
         // forward progress this producer made itself.
-        if (tryHelp()) {
+        if (tryHelp(self)) {
             noProgress = 0;
             waitUs = kBackoffBaseUs;
             continue;
@@ -177,8 +217,7 @@ StreamSession::admitThread()
         // off with a timed, jittered exponential sleep instead of the
         // historic unbounded condvar wait, so a wedged pool surfaces
         // as a diagnosable timeout rather than a hang — and no lock is
-        // shared with the admission fast path.
-        bpWaits_.fetch_add(1, std::memory_order_relaxed);
+        // shared between producers.
         const std::uint64_t retiredBefore =
             retiredThreads_.load(std::memory_order_relaxed);
         const std::uint64_t sleepUs =
@@ -231,7 +270,7 @@ StreamSession::admitThread()
 }
 
 bool
-StreamSession::tryHelp()
+StreamSession::tryHelp(StreamProducer &self)
 {
     // Become the drain: one sealed bin run inline frees at least one
     // admission slot without waiting on anyone.
@@ -246,20 +285,33 @@ StreamSession::tryHelp()
     }
     // Nothing sealed yet: the backlog is sitting in open bins. Seal
     // one so the drain (pool or our next pass) has work.
-    return forceSealOne();
+    return forceSealOne(self);
 }
 
 detail::SealedBin
-StreamSession::makeItem(const StreamBin &bin,
-                        const SealedChain &chain) const
+StreamSession::seal(StreamProducer &owner, Bin &bin)
 {
-    detail::SealedBin s;
-    s.binId = bin.id;
-    s.epoch = chain.epoch;
-    s.superBin = bin.superBin;
-    s.threads = chain.threads;
-    s.groups = chain.head;
-    return s;
+    detail::SealedBin item;
+    item.binId = bin.id;
+    item.epoch = ++bin.streamEpoch;
+    item.superBin = bin.superBin;
+    item.threads = bin.threadCount;
+    item.groups = bin.groupsHead;
+    item.owner = &owner;
+    bin.clearGroups();
+    return item;
+}
+
+std::vector<detail::SealedBin>
+StreamSession::sealAll(StreamProducer &owner)
+{
+    std::vector<detail::SealedBin> items;
+    std::lock_guard<std::mutex> lock(owner.mutex);
+    for (Bin &bin : owner.table.bins()) {
+        if (bin.threadCount)
+            items.push_back(seal(owner, bin));
+    }
+    return items;
 }
 
 void
@@ -293,27 +345,33 @@ StreamSession::enqueue(const detail::SealedBin &item)
 }
 
 bool
-StreamSession::forceSealOne()
+StreamSession::forceSealOne(StreamProducer &self)
 {
-    const unsigned n = static_cast<unsigned>(shards_.size());
-    const unsigned start =
-        sealCursor_.fetch_add(1, std::memory_order_relaxed);
-    for (unsigned i = 0; i < n; ++i) {
-        const unsigned index = (start + i) % n;
-        ConcurrentBinTable &table = shards_[index]->table;
-        const std::size_t bins = table.binCount();
-        for (std::size_t b = 0; b < bins; ++b) {
-            StreamBin *bin = table.binAt(b);
-            if (!bin) // segment install still in flight
-                continue;
-            if (!bin->epochThreads.load(std::memory_order_relaxed))
-                continue;
-            const SealedChain chain = sealStreamBin(*bin, groupPool_);
-            if (!chain.head)
-                continue; // a racing sealer beat us to it
-            enqueue(makeItem(*bin, chain));
-            return true;
+    // Own bins first (an uncontended lock), then every other
+    // producer's: an idle producer never seals its own open bins, and
+    // its backlog must still reach the drain.
+    const auto sealFrom = [&](StreamProducer &owner) {
+        detail::SealedBin item;
+        {
+            std::lock_guard<std::mutex> lock(owner.mutex);
+            for (Bin &bin : owner.table.bins()) {
+                if (bin.threadCount) {
+                    item = seal(owner, bin);
+                    break;
+                }
+            }
         }
+        if (!item.groups)
+            return false;
+        enqueue(item);
+        return true;
+    };
+    if (sealFrom(self))
+        return true;
+    for (StreamProducer *p = producers_.load(std::memory_order_acquire);
+         p; p = p->next) {
+        if (p != &self && sealFrom(*p))
+            return true;
     }
     return false;
 }
@@ -323,10 +381,10 @@ StreamSession::fork(ThreadFn fn, void *arg1, void *arg2,
                     std::span<const Hint> hints)
 {
     LSCHED_ASSERT(fn != nullptr, "fork of a null thread function");
-    admitThread();
+    StreamProducer &self = producer();
+    admitThread(self);
 
     PlacementDecision where;
-    bool doSeal = false;
     bool created = false;
     std::uint32_t binId = 0;
     detail::SealedBin sealed;
@@ -338,22 +396,18 @@ StreamSession::fork(ThreadFn fn, void *arg1, void *arg2,
             where = placement_.place(hints);
         }
 
-        const std::uint64_t h = hashCoords(where.coords, dims_);
-        Shard &shard = *shards_[shardOf(h)];
-
-        const auto [bin, fresh] =
-            shard.table.findOrCreate(where.coords, h, where.superBin);
-        created = fresh;
+        std::lock_guard<std::mutex> lock(self.mutex);
+        Bin *bin;
+        std::tie(bin, created) = self.table.findOrCreate(where.coords);
+        if (created)
+            bin->superBin = where.superBin;
+        bin->push(self.groups, fn, arg1, arg2);
+        ++bin->streamTotalThreads;
+        self.forked.store(self.forked.load(std::memory_order_relaxed) + 1,
+                          std::memory_order_relaxed);
         binId = bin->id;
-        const std::uint64_t epochCount =
-            appendStreamSpec(*bin, groupPool_, fn, arg1, arg2);
-        if (sealThreshold_ && epochCount >= sealThreshold_) {
-            const SealedChain chain = sealStreamBin(*bin, groupPool_);
-            if (chain.head) {
-                sealed = makeItem(*bin, chain);
-                doSeal = true;
-            }
-        }
+        if (sealThreshold_ && bin->threadCount >= sealThreshold_)
+            sealed = seal(self, *bin);
     } catch (...) {
         // The admission slot was reserved up front; hand it back so an
         // allocation failure cannot wedge the gate or the backlog.
@@ -362,7 +416,6 @@ StreamSession::fork(ThreadFn fn, void *arg1, void *arg2,
         throw;
     }
 
-    forked_.fetch_add(1, std::memory_order_relaxed);
     if (obs::anyOn()) [[unlikely]] {
         if (obs::metricsOn()) {
             const detail::SchedInstruments &ins =
@@ -379,7 +432,7 @@ StreamSession::fork(ThreadFn fn, void *arg1, void *arg2,
         LSCHED_TRACE_EVENT(obs::EventType::ThreadFork, binId,
                            where.coords[0], where.coords[1]);
     }
-    if (doSeal)
+    if (sealed.groups)
         enqueue(sealed);
 }
 
@@ -417,12 +470,13 @@ StreamSession::discard(const detail::SealedBin &item)
 void
 StreamSession::retire(const detail::SealedBin &item)
 {
-    groupPool_.recycleChain(item.groups);
+    {
+        std::lock_guard<std::mutex> lock(item.owner->mutex);
+        item.owner->groups.recycleChain(item.groups);
+    }
     retired_.fetch_add(1, std::memory_order_relaxed);
     pending_.fetch_sub(item.threads, std::memory_order_relaxed);
-    // The release pairs with the gate's acquire: a producer that
-    // passes on these retirements also sees the recycled groups'
-    // state reach the free tiers coherently.
+    // The release pairs with the gate's acquire.
     retiredThreads_.fetch_add(item.threads, std::memory_order_release);
 }
 
@@ -534,19 +588,10 @@ void
 StreamSession::shedLoad()
 {
     std::uint64_t shedBins = 0;
-    for (unsigned i = 0; i < shards_.size(); ++i) {
-        ConcurrentBinTable &table = shards_[i]->table;
-        const std::size_t bins = table.binCount();
-        for (std::size_t b = 0; b < bins; ++b) {
-            StreamBin *bin = table.binAt(b);
-            if (!bin) // segment install still in flight
-                continue;
-            if (!bin->epochThreads.load(std::memory_order_relaxed))
-                continue;
-            const SealedChain chain = sealStreamBin(*bin, groupPool_);
-            if (!chain.head)
-                continue;
-            enqueue(makeItem(*bin, chain));
+    for (StreamProducer *p = producers_.load(std::memory_order_acquire);
+         p; p = p->next) {
+        for (const detail::SealedBin &item : sealAll(*p)) {
+            enqueue(item);
             ++shedBins;
         }
     }
@@ -574,17 +619,10 @@ StreamSession::finish()
 
     // Producers have stopped (the owner's contract): seal every open
     // chain so the tail of the stream drains like any other epoch.
-    for (unsigned i = 0; i < shards_.size(); ++i) {
-        ConcurrentBinTable &table = shards_[i]->table;
-        const std::size_t bins = table.binCount();
-        for (std::size_t b = 0; b < bins; ++b) {
-            StreamBin *bin = table.binAt(b);
-            if (!bin) // a failed carve left a permanent gap
-                continue;
-            const SealedChain chain = sealStreamBin(*bin, groupPool_);
-            if (chain.head)
-                enqueue(makeItem(*bin, chain));
-        }
+    for (StreamProducer *p = producers_.load(std::memory_order_acquire);
+         p; p = p->next) {
+        for (const detail::SealedBin &item : sealAll(*p))
+            enqueue(item);
     }
 
     queue_.finish();
@@ -603,31 +641,41 @@ StreamSession::finish()
             drainOne(item, 0);
     }
 
-    for (const auto &shardPtr : shards_) {
-        const ConcurrentBinTable &table = shardPtr->table;
-        const std::size_t bins = table.binCount();
-        for (std::size_t b = 0; b < bins; ++b) {
-            const StreamBin *bin = table.binAt(b);
-            if (!bin)
-                continue;
-            const std::uint64_t threads =
-                bin->totalThreads.load(std::memory_order_relaxed);
-            if (!threads)
-                continue; // spare or never-forked bin
-            StreamBinReport r;
-            r.coords = bin->coords;
-            r.epochs = bin->epochs.load(std::memory_order_relaxed);
-            r.threads = threads;
-            bins_.push_back(r);
+    // One report per bin: producers that forked into the same
+    // coordinates each own a bin there, so merge them.
+    for (StreamProducer *p = producers_.load(std::memory_order_acquire);
+         p; p = p->next) {
+        std::lock_guard<std::mutex> lock(p->mutex);
+        for (const Bin &bin : p->table.bins()) {
+            if (bin.streamTotalThreads) {
+                bins_.push_back(
+                    {bin.coords, bin.streamEpoch, bin.streamTotalThreads});
+            }
         }
     }
+    std::sort(bins_.begin(), bins_.end(),
+              [](const StreamBinReport &a, const StreamBinReport &b) {
+                  return a.coords < b.coords;
+              });
+    std::size_t kept = 0;
+    for (const StreamBinReport &r : bins_) {
+        if (kept && bins_[kept - 1].coords == r.coords) {
+            bins_[kept - 1].epochs += r.epochs;
+            bins_[kept - 1].threads += r.threads;
+        } else {
+            bins_[kept++] = r;
+        }
+    }
+    bins_.resize(kept);
 }
 
 StreamStats
 StreamSession::stats() const
 {
     StreamStats s;
-    s.forked = forked_.load(std::memory_order_relaxed);
+    for (StreamProducer *p = producers_.load(std::memory_order_acquire);
+         p; p = p->next)
+        s.forked += p->forked.load(std::memory_order_relaxed);
     s.executed = executed_.load(std::memory_order_relaxed);
     s.seals = seals_.load(std::memory_order_relaxed);
     s.backpressureWaits = bpWaits_.load(std::memory_order_relaxed);

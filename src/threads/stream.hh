@@ -9,36 +9,40 @@
  * overlaps execution and the machine never idles waiting for bins to
  * be built.
  *
- * Structure (lock-free admission path — see DESIGN.md §16):
+ * Structure (per-producer intake — see DESIGN.md §16):
  *
- *  - Intake is *sharded*: forks hash their block coordinates once
- *    (hashCoords) — the top bits pick a shard, the rest the slot in
- *    that shard's ConcurrentBinTable. Shards no longer carry a mutex:
- *    lookup/insert is a CAS into the shard's open-addressing table,
- *    and sharding survives purely to split the id spaces and spread
- *    growth freezes. Group storage comes from ONE shared
- *    ConcurrentGroupPool whose fast path is a per-producer
- *    thread-local cache over a lock-free global refill.
+ *  - Intake is *per producer*: the first fork an OS thread makes into
+ *    a session creates its StreamProducer — the batch BinTable and
+ *    GroupPool that fork() already uses, behind a mutex only that
+ *    thread takes on its fork path. Producers share no lock and no
+ *    cache line while they fork; each table has its own bin-id base,
+ *    so ids stay unique across producers.
  *
- *  - Bins gain *seal/epoch* semantics: a bin anchors its current
- *    epoch's thread groups in a single atomic tail pointer; producers
- *    append with a claim/ready reservation protocol and sealing is
- *    one exchange that hands the chain to exactly one caller
- *    (concurrent_bin_table.hh). A bin seals when it reaches
- *    streamSealThreshold threads, when a producer under backpressure
+ *  - Bins gain *seal/epoch* semantics: a bin chains its current
+ *    epoch's thread groups exactly as in batch mode, and sealing
+ *    detaches the chain (groupsHead) and re-opens the bin. A bin
+ *    seals when it reaches streamSealThreshold threads, when a
+ *    producer under backpressure or the overload governor
  *    force-seals it, or at finish(). Drain workers execute *sealed*
  *    chains only — the seal is the hand-off point, after which the
- *    chain is exclusively the drainer's.
+ *    chain is exclusively the drainer's until it hands the groups
+ *    back to the owning producer's pool (under that producer's
+ *    mutex, once per chain).
+ *
+ *  - A producer that stops forking never seals its own open bins, so
+ *    force-seal, shedLoad() and finish() reach every producer's bins
+ *    under that producer's mutex. No thread holds a producer mutex
+ *    while it runs a thread body, and none holds two.
  *
  *  - Backpressure bounds memory through a *ticket gate*: every
  *    admission takes a ticket (one fetch_add); with streamMaxPending
  *    set, a producer passes only once the drain has retired enough
  *    threads that its ticket fits under the bound, which keeps the
- *    backlog exactly bounded and FIFO-fair without any mutex. A
- *    producer held at the gate first tries to drain one sealed bin
- *    inline (becoming worker 0 for that bin), then to force-seal an
- *    open bin for the pool, and only then backs off with a timed,
- *    jittered exponential sleep — the slow path that preserves the
+ *    backlog exactly bounded and FIFO-fair. A producer held at the
+ *    gate first tries to drain one sealed bin inline (becoming worker
+ *    0 for that bin), then to force-seal an open bin — its own first
+ *    — for the pool, and only then backs off with a timed, jittered
+ *    exponential sleep — the slow path that preserves the
  *    stream_admit_retries / AdmissionTimeout semantics. Nested forks
  *    from a thread *being drained inline* bypass the bound — blocking
  *    there would deadlock the very producer doing the draining — so
@@ -65,9 +69,8 @@
 #include <thread>
 #include <vector>
 
-#include "threads/concurrent_bin_table.hh"
-#include "threads/concurrent_group_pool.hh"
 #include "threads/fault.hh"
+#include "threads/hash_table.hh"
 #include "threads/hints.hh"
 #include "threads/placement.hh"
 #include "threads/recovery.hh"
@@ -88,7 +91,8 @@ struct StreamStats
     std::uint64_t executed = 0;
     /** Sealed-chain work items produced. */
     std::uint64_t seals = 0;
-    /** Times a producer backed off at the maxPending bound. */
+    /** Admissions that found the maxPending gate closed (one per
+     *  held fork, however long it was held). */
     std::uint64_t backpressureWaits = 0;
     /** Sealed bins a producer drained inline under backpressure. */
     std::uint64_t inlineDrains = 0;
@@ -125,15 +129,45 @@ struct StreamBinReport
 namespace detail
 {
 
+/**
+ * One producer thread's private intake: the batch BinTable and
+ * GroupPool under a mutex. The owning thread takes the mutex on every
+ * fork, uncontended in the steady state; other threads take it only
+ * to force-seal, shed, recycle a drained chain, or finish.
+ */
+struct alignas(64) StreamProducer
+{
+    StreamProducer(unsigned dims, std::size_t buckets,
+                   std::uint32_t idBase, std::uint32_t groupCapacity,
+                   std::thread::id owner)
+        : table(dims, buckets, idBase), groups(groupCapacity),
+          owner(owner)
+    {
+    }
+
+    std::mutex mutex;
+    BinTable table;
+    GroupPool groups;
+    /** The OS thread whose forks land here. */
+    const std::thread::id owner;
+    /** Threads this producer admitted (written under mutex). */
+    std::atomic<std::uint64_t> forked{0};
+    /** Next producer on the session's push-only list; immutable once
+     *  the producer is published. */
+    StreamProducer *next = nullptr;
+};
+
 /** One sealed chain: a bin epoch's threads, ready to drain. */
 struct SealedBin
 {
     std::uint32_t binId = 0;
     std::uint32_t epoch = 0;
     /** The bin's super-bin group (profiling attribution). */
-    std::uint32_t superBin = 0xffffffffu;
+    std::uint32_t superBin = kNoSuperBin;
     std::uint64_t threads = 0;
     ThreadGroup *groups = nullptr;
+    /** The producer whose GroupPool the groups return to. */
+    StreamProducer *owner = nullptr;
 };
 
 /**
@@ -145,8 +179,8 @@ struct SealedBin
  * carry the acquire/release hand-off, so push and pop are lock-free.
  * The mutex exists only to park idle drain helpers: a push touches it
  * solely when the sleepers count says somebody is (about to be)
- * parked, so the admission path stays mutex-free while the queue has
- * active consumers. The missed-wakeup race (sleeper registering while
+ * parked, so producers share no lock through the ring while the queue
+ * has active consumers. The missed-wakeup race (sleeper registering while
  * a pusher checks) is closed Dekker-style with seq_cst fences on both
  * sides of the counter.
  */
@@ -301,9 +335,6 @@ class SealedQueue
 class StreamSession
 {
   public:
-    /** Shards used when the config leaves streamShards at 0. */
-    static constexpr unsigned kDefaultShards = 8;
-
     /**
      * @param config the owning scheduler's validated configuration.
      * @param placement the scheduler's placement policy. Stateless
@@ -372,44 +403,36 @@ class StreamSession
     }
 
   private:
-    /**
-     * One intake shard: its own concurrent table (disjoint id space),
-     * no lock. Padded so the tables' hot heads do not false-share.
-     */
-    struct alignas(64) Shard
-    {
-        ConcurrentBinTable table;
-
-        Shard(unsigned dims, std::size_t buckets,
-              std::uint32_t idBase)
-            : table(dims, buckets, idBase)
-        {
-        }
-    };
-
     static void drainMain(unsigned worker, void *ctx);
 
-    unsigned shardOf(std::uint64_t hash) const;
+    /** This OS thread's producer, created on its first fork. */
+    detail::StreamProducer &producer();
     /** Take a ticket and wait out the maxPending gate. */
-    void admitThread();
+    void admitThread(detail::StreamProducer &self);
     /** Record the post-admission backlog (peak tracking). */
     void notePending();
     /** Help at the bound: inline-drain a sealed bin or force-seal an
      *  open one. False when the backlog is entirely in flight. */
-    bool tryHelp();
-    /** Package a detached chain as a queue work item. */
-    detail::SealedBin makeItem(const StreamBin &bin,
-                               const SealedChain &chain) const;
+    bool tryHelp(detail::StreamProducer &self);
+    /** Detach @p bin's open chain as a work item (caller holds
+     *  @p owner's mutex; the bin must hold threads). */
+    static detail::SealedBin seal(detail::StreamProducer &owner,
+                                  Bin &bin);
+    /** Seal every open bin of @p owner, under its mutex. */
+    static std::vector<detail::SealedBin>
+    sealAll(detail::StreamProducer &owner);
     /** Trace + count + queue one sealed chain (drains inline when the
-     *  ring is full, so a push can never deadlock). */
+     *  ring is full, so a push can never deadlock). Never called with
+     *  a producer mutex held: the inline drain runs thread bodies. */
     void enqueue(const detail::SealedBin &item);
-    /** Seal the first non-empty open bin, rotating over shards. */
-    bool forceSealOne();
+    /** Seal one open bin, @p self's first, then other producers'. */
+    bool forceSealOne(detail::StreamProducer &self);
     /** Execute one sealed chain as @p worker and retire it. */
     void drainOne(const detail::SealedBin &item, unsigned worker);
     /** Retire a chain without running it (StopTour/cancel discard). */
     void discard(const detail::SealedBin &item);
-    /** Return the chain to the pool and shrink the backlog. */
+    /** Return the chain to its producer's pool and shrink the
+     *  backlog. */
     void retire(const detail::SealedBin &item);
     /** Epoch-progress monitor body (deadline + overload governor). */
     void monitorMain();
@@ -434,12 +457,17 @@ class StreamSession
     /** Adaptive placement: the monitor ticks maybeRetune(). */
     const bool placementAdaptive_;
 
-    std::vector<std::unique_ptr<Shard>> shards_;
-    /** Group storage, shared by every shard and drain worker. */
-    ConcurrentGroupPool groupPool_;
+    /** Sizing of every producer's BinTable and GroupPool. */
+    const std::size_t buckets_;
+    const std::uint32_t groupCapacity_;
+    /** Keys the thread-local producer cache: unique per session, so a
+     *  new session at a dead one's address never hits a stale entry. */
+    const std::uint64_t serial_;
+    /** Push-only list of producers (newest first); freed with the
+     *  session. */
+    std::atomic<detail::StreamProducer *> producers_{nullptr};
+    std::atomic<std::uint32_t> producerCount_{0};
     detail::SealedQueue queue_;
-    /** Rotation cursor for forceSealOne's shard scan. */
-    std::atomic<unsigned> sealCursor_{0};
 
     std::vector<ThreadFault> faults_;
     detail::FaultCtx fault_;
@@ -456,7 +484,6 @@ class StreamSession
 
     std::atomic<std::uint64_t> pending_{0};
     std::atomic<std::uint64_t> peak_{0};
-    std::atomic<std::uint64_t> forked_{0};
     std::atomic<std::uint64_t> executed_{0};
     std::atomic<std::uint64_t> seals_{0};
     std::atomic<std::uint64_t> bpWaits_{0};

@@ -14,7 +14,6 @@
 #ifndef LSCHED_THREADS_THREAD_GROUP_HH
 #define LSCHED_THREADS_THREAD_GROUP_HH
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <new>
@@ -30,13 +29,6 @@ namespace lsched::threads
 /** A chunk of thread specifications chained within one bin. */
 struct ThreadGroup
 {
-    /**
-     * Streaming claim word, low half: bit set once a sealer has closed
-     * the group. Producers that meet it in the claim word divert to a
-     * fresh group (concurrent_bin_table.hh).
-     */
-    static constexpr std::uint64_t kClosed = 0x80000000u;
-
     /** Chunk storage; points into the owning pool's slab. */
     ThreadSpec *specs = nullptr;
     /** Capacity of specs. */
@@ -45,34 +37,6 @@ struct ThreadGroup
     std::uint32_t count = 0;
     /** Next group in the same bin (fork order). */
     ThreadGroup *next = nullptr;
-
-    /**
-     * Streaming (lock-free intake) protocol, unused by the batch path.
-     * The claim word packs [life generation:32][kClosed | slots:31]:
-     * ConcurrentGroupPool::allocate() starts each life by bumping the
-     * generation half and zeroing the rest, and producers reserve a
-     * slot with a CAS whose expected value carries the generation
-     * their bin's tail word named — a producer that slept across this
-     * group's seal/drain/recycle always fails the CAS (new life, new
-     * generation) instead of writing into somebody else's group. The
-     * winner writes its spec and publishes it by bumping ready; the
-     * sealer ORs kClosed into claim, then waits until ready covers
-     * every reserved slot before the chain is handed to a drain
-     * worker. prev links a bin's current-epoch chain newest-first
-     * (the only direction a lock-free append can build); sealing
-     * reverses it into the fork-order next chain the GroupCursor
-     * walks.
-     */
-    std::atomic<std::uint64_t> claim{0};
-    std::atomic<std::uint32_t> ready{0};
-    ThreadGroup *prev = nullptr;
-    /** Index in the owning ConcurrentGroupPool's slab directory (the
-     *  ABA-safe free list links groups by index, not pointer). */
-    std::uint32_t poolIndex = 0;
-    /** Free-list successor index (+1; 0 = end). Atomic only because a
-     *  racing pop may read it while a re-push writes it; the stack
-     *  head's tag makes such stale reads harmless. */
-    std::atomic<std::uint32_t> freeNext{0};
 
     /** True when no further spec fits. */
     bool full() const { return count == capacity; }

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <new>
+#include <vector>
+
+#include "support/failpoint.hh"
 #include "threads/hash_table.hh"
 
 namespace
@@ -117,6 +121,40 @@ TEST(BinTable, DimsLimitComparison)
     Bin *a = t.findOrCreate(coords(5, 1, 1)).first;
     Bin *b = t.findOrCreate(coords(5, 2, 2)).first;
     EXPECT_EQ(a, b);
+}
+
+TEST(BinTable, FailedGrowthLeavesEveryBinFindable)
+{
+    namespace fp = lsched::failpoint;
+    if (!fp::kCompiled)
+        GTEST_SKIP() << "fail points compiled out";
+    // 16 slots: creations 1..12 each evaluate the creation-path
+    // "bintable.grow" site once; the 12th reaches the 3/4 load limit,
+    // so it grows first and evaluates the growth-path site as hit 13.
+    BinTable t(3, 16);
+    std::vector<Bin *> bins;
+    fp::disarmAll();
+    ASSERT_TRUE(fp::arm("bintable.grow", "hit=13"));
+    for (std::uint64_t i = 0; i < 11; ++i)
+        bins.push_back(t.findOrCreate(coords(i, i + 1)).first);
+    EXPECT_THROW(t.findOrCreate(coords(11, 12)), std::bad_alloc);
+    fp::disarmAll();
+
+    // Nothing was linked and the slot array is the old one.
+    EXPECT_EQ(t.binCount(), 11u);
+    EXPECT_EQ(t.bucketCount(), 16u);
+    EXPECT_EQ(t.find(coords(11, 12)), nullptr);
+    for (std::uint64_t i = 0; i < 11; ++i)
+        EXPECT_EQ(t.find(coords(i, i + 1)), bins[i]);
+
+    // The next insert grows for real and succeeds.
+    auto [bin, created] = t.findOrCreate(coords(11, 12));
+    EXPECT_TRUE(created);
+    EXPECT_EQ(t.binCount(), 12u);
+    EXPECT_EQ(t.bucketCount(), 32u);
+    for (std::uint64_t i = 0; i < 11; ++i)
+        EXPECT_EQ(t.find(coords(i, i + 1)), bins[i]);
+    EXPECT_EQ(t.find(coords(11, 12)), bin);
 }
 
 } // namespace

@@ -17,6 +17,8 @@
 #include <thread>
 #include <vector>
 
+#include "obs/registry.hh"
+#include "obs/trace.hh"
 #include "support/error.hh"
 #include "support/failpoint.hh"
 #include "threads/scheduler.hh"
@@ -116,11 +118,11 @@ TEST(Stream, ConcurrentForkStressMatchesBatch)
 
 TEST(Stream, EightProducerAdmissionStress)
 {
-    // Tentpole stress for the lock-free admission path: eight
-    // producers hammer two shards whose tables start at the minimum
-    // slot count (so concurrent freeze-growth cycles are forced), a
-    // tight maxPending saturates the ticket gate, and a small seal
-    // threshold keeps groups recycling through the shared pool.
+    // Stress for the admission path: eight producers whose private
+    // tables start at the minimum slot count (so every producer grows
+    // its table while others force-seal it), a tight maxPending
+    // saturates the ticket gate, and a small seal threshold keeps
+    // groups recycling back to their owners' pools from the drain.
     constexpr unsigned kProducers = 8;
     constexpr unsigned kPerProducer = 3000;
     constexpr unsigned kTotal = kProducers * kPerProducer;
@@ -128,7 +130,6 @@ TEST(Stream, EightProducerAdmissionStress)
 
     SchedulerConfig c = cfg();
     c.hashBuckets = 16;
-    c.streamShards = 2;
     c.streamMaxPending = kBound;
     c.streamSealThreshold = 4;
     c.groupCapacity = 4;
@@ -358,18 +359,17 @@ TEST(Stream, TableGrowthAllocationFailureUnwindsInsteadOfWedging)
     namespace fp = lsched::failpoint;
     // Regression for the grow() unwind: an OOM while allocating the
     // doubled slot array must surface as a recoverable bad_alloc and
-    // leave the table live (slots thawed, grower flag released) — not
-    // leave every later probe spinning on frozen sentinels.
+    // leave the table live — not a table that later forks wedge on.
     //
-    // Deterministic site arithmetic (one producer, one shard, 16
-    // slots): bin creations 1..12 each evaluate the probe-path
-    // "bintable.grow" site once, and the 12th publish crosses 3/4
-    // load, so the growth-path evaluation is hit 13.
+    // Deterministic site arithmetic (one producer, whose private
+    // table starts at 16 slots): bin creations 1..12 each evaluate
+    // the creation-path "bintable.grow" site once, and the 12th
+    // reaches the 3/4 load limit, so it grows first: the growth-path
+    // evaluation is hit 13.
     constexpr unsigned kTrigger = 12;
     constexpr unsigned kTotal = 40;
     SchedulerConfig c = cfg();
     c.hashBuckets = 16;
-    c.streamShards = 1;
     c.streamMaxPending = 0;
     LocalityScheduler s(c);
     Flags flags(kTotal);
@@ -598,6 +598,161 @@ TEST(Stream, LifecycleMisuseIsReported)
     EXPECT_THROW(s.run(), lsched::UsageError);
     EXPECT_EQ(s.streamEnd(), 0u);
     EXPECT_FALSE(s.streaming());
+}
+
+TEST(Stream, IdleProducerDoesNotWedgeAnother)
+{
+    // Producer A fills the whole backlog bound with threads that sit
+    // in open bins (far below the seal threshold) and then idles
+    // without exiting. Producer B can only be admitted once somebody
+    // seals A's bins: B must force-seal them itself. A finite retry
+    // budget turns a wedge into an AdmissionTimeout, not a hang.
+    constexpr std::uint64_t kBound = 16;
+    constexpr unsigned kB = 200;
+    constexpr unsigned kTotal = kBound + kB;
+
+    SchedulerConfig c = cfg();
+    c.streamMaxPending = kBound;
+    c.streamSealThreshold = 1000;
+    c.streamAdmitRetries = 200;
+    LocalityScheduler s(c);
+    Flags flags(kTotal);
+
+    std::atomic<bool> aForked{false};
+    std::atomic<bool> bDone{false};
+    s.streamBegin(1);
+    std::thread a([&] {
+        for (unsigned i = 0; i < kBound; ++i) {
+            s.fork(&Flags::mark, &flags,
+                   reinterpret_cast<void *>(
+                       static_cast<std::uintptr_t>(i)),
+                   hintFor(0, i % 4), 0);
+        }
+        aForked.store(true);
+        while (!bDone.load())
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    });
+    while (!aForked.load())
+        std::this_thread::yield();
+    EXPECT_NO_THROW({
+        for (unsigned i = 0; i < kB; ++i) {
+            s.fork(&Flags::mark, &flags,
+                   reinterpret_cast<void *>(
+                       static_cast<std::uintptr_t>(kBound + i)),
+                   hintFor(1, i), 0);
+        }
+    });
+    bDone.store(true);
+    a.join();
+    EXPECT_EQ(s.streamEnd(), kTotal);
+    for (unsigned i = 0; i < kTotal; ++i)
+        ASSERT_EQ(flags.ran[i].load(), 1u) << "thread " << i;
+    EXPECT_LE(s.streamStats().peakBacklog, kBound);
+}
+
+TEST(Stream, OneThreadAlternatesBetweenTwoSchedulersStreams)
+{
+    // One OS thread forks alternately into the open streams of two
+    // schedulers, over several sessions (fresh session objects, which
+    // may reuse a dead session's address). Every thread must run
+    // exactly once, in the session it was forked into: the two
+    // schedulers' hints land in disjoint bins, so a misrouted fork
+    // would show up in the other scheduler's bin report.
+    constexpr unsigned kPer = 600;
+    SchedulerConfig c = cfg();
+    c.streamSealThreshold = 8;
+    c.streamMaxPending = 32;
+    LocalityScheduler s1(c);
+    LocalityScheduler s2(c);
+
+    for (unsigned round = 0; round < 3; ++round) {
+        Flags f1(kPer);
+        Flags f2(kPer);
+        s1.streamBegin(1);
+        s2.streamBegin(1);
+        for (unsigned i = 0; i < kPer; ++i) {
+            void *index =
+                reinterpret_cast<void *>(static_cast<std::uintptr_t>(i));
+            s1.fork(&Flags::mark, &f1, index,
+                    static_cast<Hint>((i % 16) << 16), 0);
+            s2.fork(&Flags::mark, &f2, index,
+                    static_cast<Hint>((100 + i % 16) << 16), 0);
+        }
+        EXPECT_EQ(s1.streamEnd(), kPer);
+        EXPECT_EQ(s2.streamEnd(), kPer);
+        for (unsigned i = 0; i < kPer; ++i) {
+            ASSERT_EQ(f1.ran[i].load(), 1u) << "s1 thread " << i;
+            ASSERT_EQ(f2.ran[i].load(), 1u) << "s2 thread " << i;
+        }
+
+        const auto binsOf = [&](LocalityScheduler &s, unsigned base) {
+            std::map<std::vector<std::uint64_t>, std::uint64_t> m;
+            for (unsigned i = 0; i < kPer; ++i) {
+                const Hint hints[] = {
+                    static_cast<Hint>((base + i % 16) << 16), 0};
+                const BlockCoords k = s.coordsFor(hints);
+                ++m[{k.begin(), k.end()}];
+            }
+            return m;
+        };
+        const auto reported = [](const LocalityScheduler &s) {
+            std::map<std::vector<std::uint64_t>, std::uint64_t> m;
+            for (const StreamBinReport &bin : s.lastStreamBins())
+                m[{bin.coords.begin(), bin.coords.end()}] += bin.threads;
+            return m;
+        };
+        EXPECT_EQ(reported(s1), binsOf(s1, 0)) << "round " << round;
+        EXPECT_EQ(reported(s2), binsOf(s2, 100)) << "round " << round;
+    }
+}
+
+TEST(Stream, BackpressureCountAgreesAcrossSurfaces)
+{
+    // sched.stream.backpressure (registry: --metrics, snapshots) and
+    // StreamStats::backpressureWaits (th_stats, th_metric_*) count the
+    // same event — one per admission that found the gate closed — so
+    // they agree, and a stream whose backlog reached the bound counts
+    // at least one.
+    constexpr std::uint64_t kBound = 32;
+    constexpr unsigned kProducers = 1;
+    constexpr unsigned kPerProducer = 4000;
+    namespace obs = lsched::obs;
+
+    SchedulerConfig c = cfg();
+    c.streamMaxPending = kBound;
+    // Above the bound: nothing seals on its own, so the one
+    // producer's backlog reaches the bound before it is first held.
+    c.streamSealThreshold = 1000;
+    LocalityScheduler s(c);
+    std::atomic<std::uint64_t> ran{0};
+
+    obs::setMetricsEnabled(true);
+    obs::Counter &registry =
+        obs::Registry::global().counter("sched.stream.backpressure");
+    const std::uint64_t before = registry.value();
+    const std::uint64_t executed = s.runStream(
+        1, kProducers, [&](unsigned p) {
+            for (unsigned i = 0; i < kPerProducer; ++i) {
+                s.fork(
+                    [](void *counter, void *) {
+                        static_cast<std::atomic<std::uint64_t> *>(
+                            counter)
+                            ->fetch_add(1, std::memory_order_relaxed);
+                    },
+                    &ran, nullptr, hintFor(p, i), 0);
+            }
+        });
+    const std::uint64_t counted = registry.value() - before;
+    obs::setMetricsEnabled(false);
+
+    EXPECT_EQ(executed, kProducers * kPerProducer);
+    const StreamStats st = s.streamStats();
+    EXPECT_EQ(st.peakBacklog, kBound);
+    EXPECT_GT(st.backpressureWaits, 0u);
+    EXPECT_LE(st.backpressureWaits, kProducers * kPerProducer);
+    // The registry exists only where tracing is compiled in.
+    EXPECT_EQ(counted, obs::kTraceCompiled ? st.backpressureWaits : 0u);
+    EXPECT_EQ(s.stats().stream.backpressureWaits, st.backpressureWaits);
 }
 
 } // namespace
